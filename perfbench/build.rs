@@ -1,0 +1,23 @@
+//! Stamps the compiler version and the flags the benchmark was built
+//! with into the binary, for the host fingerprint of every result.
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".into());
+    let version = Command::new(rustc)
+        .arg("-V")
+        .output()
+        .ok()
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .unwrap_or_else(|| "unknown".into());
+    // Cargo joins the effective flags with 0x1f.
+    let flags = std::env::var("CARGO_ENCODED_RUSTFLAGS")
+        .unwrap_or_default()
+        .replace('\u{1f}', " ");
+    println!("cargo:rustc-env=PERFBENCH_RUSTC={version}");
+    println!("cargo:rustc-env=PERFBENCH_RUSTFLAGS={flags}");
+    println!("cargo:rerun-if-env-changed=RUSTFLAGS");
+    println!("cargo:rerun-if-env-changed=CARGO_ENCODED_RUSTFLAGS");
+}
